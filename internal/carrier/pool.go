@@ -3,6 +3,8 @@ package carrier
 import (
 	"hash/fnv"
 	"math/rand"
+
+	"mmlab/internal/xrand"
 )
 
 // Pool is a weighted discrete distribution over parameter values: one
@@ -105,4 +107,4 @@ func seedWith(base string, nums ...uint64) int64 {
 }
 
 // newRng builds a deterministic generator from a seed.
-func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+func newRng(seed int64) *rand.Rand { return xrand.New(seed) }

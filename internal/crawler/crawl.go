@@ -12,6 +12,7 @@ import (
 	"mmlab/internal/dataset"
 	"mmlab/internal/sib"
 	"mmlab/internal/sim"
+	"mmlab/internal/xrand"
 )
 
 // monthMs is one collection-period month in milliseconds.
@@ -72,7 +73,7 @@ type siteCrawl struct {
 func crawlSite(f *carrier.Fleet, site carrier.CellSite, seed int64) (siteCrawl, error) {
 	var buf bytes.Buffer
 	dw := sib.NewDiagWriter(&buf)
-	rng := rand.New(rand.NewSource(seed ^ int64(site.Identity.CellID)*0x1000193))
+	rng := xrand.New(seed ^ int64(site.Identity.CellID)*0x1000193)
 	visits := 0
 	for _, month := range visitPlan(rng) {
 		cfg := f.Gen.Config(site, month)

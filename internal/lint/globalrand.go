@@ -15,13 +15,24 @@ var globalRandOK = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
+// eagerSourceOK are the packages allowed to call math/rand's NewSource in
+// non-test code: internal/xrand, which reproduces its stream lazily, and
+// the mmbench harness, a separate module that must keep building against
+// checkouts older than internal/xrand.
+var eagerSourceOK = []string{"internal/xrand", "mmbench"}
+
 // checkGlobalRand bans package-level math/rand draws everywhere,
 // tests included: the global source is seeded per-process, so anything
 // it feeds cannot be replayed. Randomness must flow from a seeded
-// *rand.Rand handed in by the caller (see sim.DeriveSeed).
+// *rand.Rand handed in by the caller (see sim.DeriveSeed). It also bans
+// math/rand's NewSource in non-test code outside eagerSourceOK: its eager
+// 607-word seeding dominated world building, and xrand.New yields the
+// same stream without it.
 func checkGlobalRand(u *Unit) []Finding {
 	var out []Finding
+	eagerOK := pathMatches(u.ImportPath, eagerSourceOK)
 	for _, file := range u.Files {
+		eagerBanned := !eagerOK && !isTestFile(u.Fset, file.Pos())
 		ast.Inspect(file, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
@@ -36,7 +47,18 @@ func checkGlobalRand(u *Unit) []Finding {
 				return true
 			}
 			fn, isFunc := obj.(*types.Func)
-			if !isFunc || globalRandOK[fn.Name()] {
+			if !isFunc {
+				return true
+			}
+			if eagerBanned && path == "math/rand" && fn.Name() == "NewSource" {
+				out = append(out, Finding{
+					Pos:     u.Fset.Position(sel.Pos()),
+					Check:   "globalrand",
+					Message: "math/rand's NewSource seeds all 607 words eagerly; use xrand.New(seed) for the same stream",
+				})
+				return true
+			}
+			if globalRandOK[fn.Name()] {
 				return true
 			}
 			// Methods on *rand.Rand arrive as selections on a value, not

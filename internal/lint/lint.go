@@ -22,7 +22,9 @@
 //     Wall-clock stays legal in pipeline, cmd/*, and _test.go files.
 //   - globalrand: math/rand (and math/rand/v2) package-level draw
 //     functions are banned everywhere, tests included; randomness must
-//     flow from an injected seeded *rand.Rand.
+//     flow from an injected seeded *rand.Rand. Non-test code builds
+//     that generator with xrand.New, not math/rand's eager NewSource
+//     (allowed only in internal/xrand and the mmbench harness).
 //   - gorphan: a go statement inside the supervised packages
 //     (internal/pipeline, internal/sim, cmd/mmlabd) must be lexically
 //     paired with its supervision — a WaitGroup.Add in the immediately

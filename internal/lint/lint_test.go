@@ -96,6 +96,25 @@ func TestGlobalRandGolden(t *testing.T) {
 	runGolden(t, "globalrand", "mmlab/testdata/globalrand", Config{Checks: []string{"globalrand"}})
 }
 
+// TestGlobalRandXrandExempt loads the golden package as internal/xrand,
+// the one package that may build eager sources: only the global draws
+// remain findings.
+func TestGlobalRandXrandExempt(t *testing.T) {
+	units, err := LoadDir(filepath.Join("testdata", "src", "globalrand"), "mmlab/internal/xrand")
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings := Analyze(units, Config{Checks: []string{"globalrand"}})
+	for _, f := range findings {
+		if strings.Contains(f.Message, "NewSource") {
+			t.Errorf("NewSource flagged inside internal/xrand: %s", f)
+		}
+	}
+	if len(findings) != 4 {
+		t.Errorf("got %d findings, want the 4 global draws: %v", len(findings), findings)
+	}
+}
+
 func TestGorphanGolden(t *testing.T) {
 	// Loaded under the supervised pipeline path so the check applies.
 	runGolden(t, "gorphan", "mmlab/internal/pipeline", Config{Checks: []string{"gorphan"}})

@@ -12,10 +12,12 @@ func draws() (int, float64) {
 	return a, b
 }
 
-// Seeded generators are the sanctioned pattern: constructors are legal,
-// and methods on the injected *rand.Rand are not package-level draws.
+// Seeded generators are the sanctioned pattern, and methods on the
+// injected *rand.Rand are not package-level draws; but outside
+// internal/xrand and tests they come from xrand.New, not the eager
+// rand.NewSource.
 func seeded(seed int64) float64 {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(seed)) // want "NewSource seeds all 607 words eagerly; use xrand.New"
 	return rng.Float64() + float64(rng.Intn(3))
 }
 

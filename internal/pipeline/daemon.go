@@ -48,6 +48,11 @@ type Daemon struct {
 	connPanics    atomic.Int64
 	seqViolations atomic.Int64
 
+	// ckptMu serialises checkpoint writes: one snapshot → write → ack
+	// sequence at a time, so writers never share the temp file and the
+	// file and the durable acks only ever move forward. It is taken
+	// before regMu, never inside it.
+	ckptMu     sync.Mutex
 	ckptWG     sync.WaitGroup
 	lastCkptMs atomic.Int64
 	ckptCount  atomic.Int64
@@ -109,7 +114,11 @@ func (d *Daemon) checkpointLoop() {
 // CheckpointNow snapshots the aggregator without pausing ingest, writes
 // a periodic (resumable) checkpoint atomically, and pushes durable acks
 // to every live feeder connection so they can trim their replay buffers.
+// Calls are serialised, so concurrent callers (the periodic ticker and an
+// explicit caller) land one after another, newest snapshot last.
 func (d *Daemon) CheckpointNow() error {
+	d.ckptMu.Lock()
+	defer d.ckptMu.Unlock()
 	results := d.p.agg.snapshot()
 	cp := BuildCheckpoint(results)
 	cp.Resume = resumeSection(results)
@@ -456,7 +465,9 @@ func (d *Daemon) shutdown(ctx context.Context) (*Checkpoint, error) {
 	cp := BuildCheckpoint(d.p.agg.results())
 	var err error
 	if d.cfg.CheckpointDir != "" {
+		d.ckptMu.Lock()
 		err = cp.WriteFile(d.cfg.CheckpointDir)
+		d.ckptMu.Unlock()
 	}
 	if err == nil && timedOut {
 		err = fmt.Errorf("pipeline: drain deadline expired; checkpoint may be partial: %w", ctx.Err())

@@ -104,6 +104,66 @@ func TestPeriodicCheckpointDurableAck(t *testing.T) {
 	}
 }
 
+// TestConcurrentCheckpointNow races explicit CheckpointNow calls against
+// a 1 ms periodic ticker during ingest. Every write must succeed (the two
+// writers once shared the temp file, so one rename failed), and the
+// durable high-water mark must never move back, neither in status nor in
+// the file on disk (an older snapshot once could land after a newer one).
+func TestConcurrentCheckpointNow(t *testing.T) {
+	data := capture(t, "A", 33)
+	dir := t.TempDir()
+	d, addr := startDaemon(t, pipeline.Config{CheckpointDir: dir, CheckpointEvery: time.Millisecond})
+	fed := make(chan error, 1)
+	go func() {
+		_, err := feeder.Feed(context.Background(), data, feeder.Options{
+			Addr: addr, Carrier: "A", Stream: "s0", Seed: 1,
+			WaitDurable: true, DurableTimeout: 30 * time.Second,
+		})
+		fed <- err
+	}()
+
+	var statusSeq, diskSeq uint64
+	calls := 0
+	for feeding := true; feeding; calls++ {
+		select {
+		case err := <-fed:
+			if err != nil {
+				t.Fatalf("durable feed: %v", err)
+			}
+			feeding = false
+		default:
+		}
+		if err := d.CheckpointNow(); err != nil {
+			t.Fatalf("CheckpointNow call %d: %v", calls, err)
+		}
+		if s := d.Status(); len(s.Streams) == 1 {
+			seq := s.Streams[0].DurableSeq
+			if seq < statusSeq {
+				t.Fatalf("call %d: durable seq fell from %d to %d", calls, statusSeq, seq)
+			}
+			statusSeq = seq
+		}
+		cp, err := pipeline.LoadCheckpoint(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp != nil && len(cp.Resume) == 1 {
+			seq := cp.Resume[0].Seq
+			if seq < diskSeq {
+				t.Fatalf("call %d: checkpoint.json resume seq fell from %d to %d", calls, diskSeq, seq)
+			}
+			diskSeq = seq
+		}
+	}
+	if s := d.Status(); s.CheckpointErrs != 0 {
+		t.Fatalf("%d periodic checkpoints failed alongside %d explicit ones", s.CheckpointErrs, calls)
+	}
+	if want := uint64(countRecords(t, data)); statusSeq != want || diskSeq != want {
+		t.Fatalf("final durable seq status=%d disk=%d; want %d", statusSeq, diskSeq, want)
+	}
+	drain(t, d)
+}
+
 // TestPeriodicCheckpointAndRestore cuts a stream mid-flight, checkpoints,
 // and brings up a second daemon from the file: the restored daemon's
 // resume ack repositions the feeder, the replayed tail runs through a

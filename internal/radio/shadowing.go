@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"mmlab/internal/units"
+	"mmlab/internal/xrand"
 )
 
 // ShadowField is a deterministic, spatially correlated log-normal shadowing
@@ -30,7 +31,7 @@ type ShadowField struct {
 // cell identity) so shadowing to different cells is independent.
 func NewShadowField(seed int64, sigmaDB, corrDist float64) *ShadowField {
 	const nWaves = 24
-	rng := rand.New(rand.NewSource(seed))
+	rng := xrand.New(seed)
 	f := &ShadowField{
 		sigma: sigmaDB,
 		kx:    make([]float64, nWaves),
@@ -87,7 +88,7 @@ func NewFastFading(seed int64, sigmaDB, rho float64) *FastFading {
 	if rho >= 1 {
 		rho = 0.99
 	}
-	return &FastFading{rng: rand.New(rand.NewSource(seed)), sigma: sigmaDB, rho: rho}
+	return &FastFading{rng: xrand.New(seed), sigma: sigmaDB, rho: rho}
 }
 
 // Next advances the process one measurement interval and returns the fading
