@@ -7,19 +7,18 @@ import (
 )
 
 // benchGoldenConfigs maps each committed BENCH_*.json campaign golden to
-// the world configuration that produced it: the typed probe path (the
-// event-driven scheduler over the spatial index at 1.5×ISD audibility)
-// and the seed profile (legacy linear scan + fixed-step tick loop at the
-// seed's 4×ISD). Both run the default campaign: 10000-cell arena,
+// the audibility radius that produced it: the country profile at 1.5×ISD
+// and the seed profile at the seed's 4×ISD (recorded on the seed's linear
+// scan and fixed-step loop, which the one indexed, event-driven path
+// reproduces exactly). Both run the default campaign: 10000-cell arena,
 // carrier A, 8 UEs, 30 simulated seconds, benchSeed.
 var benchGoldenConfigs = []struct {
 	file    string
 	radius  float64
-	legacy  bool
 	profile string
 }{
-	{"BENCH_pr6.json", 1.5 * countryISD, false, "typed probe path"},
-	{"BENCH_seed.json", 4 * countryISD, true, "seed profile"},
+	{"BENCH_pr6.json", 1.5 * countryISD, "typed probe path"},
+	{"BENCH_seed.json", 4 * countryISD, "seed profile"},
 }
 
 // TestCountryCampaignMatchesBenchGoldens proves the units migration is
@@ -33,17 +32,17 @@ func TestCountryCampaignMatchesBenchGoldens(t *testing.T) {
 		t.Skip("country-scale campaign; skipped with -short")
 	}
 	if *countryCells != 10000 || *countryUEs != 8 || *countryDurS != 30 ||
-		*countryRadius != 0 || *countryLinear || *countrySeed {
+		*countryRadius != 0 {
 		t.Skip("country flags overridden; the BENCH goldens pin the default config")
 	}
 	for _, tc := range benchGoldenConfigs {
 		t.Run(tc.file, func(t *testing.T) {
 			cells, handoffs := benchGoldenCampaign(t, tc.file)
-			w := countryWorldAt(t, tc.radius, tc.legacy)
+			w := countryWorldAt(t, tc.radius)
 			if got := len(w.Cells); got != cells {
 				t.Errorf("%s: world has %d cells, golden %s recorded %d", tc.profile, got, tc.file, cells)
 			}
-			if got := runCountryCampaign(w, int64(*countryDurS)*1000, *countryUEs, tc.legacy); got != handoffs {
+			if got := runCountryCampaign(w, int64(*countryDurS)*1000, *countryUEs); got != handoffs {
 				t.Errorf("%s: campaign produced %d handoffs, golden %s recorded %d", tc.profile, got, tc.file, handoffs)
 			}
 		})

@@ -3,6 +3,7 @@ package crawler
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -125,6 +126,35 @@ func TestParseDiagCorruptAbortsStrict(t *testing.T) {
 
 // writeForbidden writes n SIB4 records carrying their index, so recovered
 // records are identifiable after corruption.
+// TestParseDiagStrictRejectsBadDirection is the regression test for a
+// strict parse that framed records on the length field alone: a record
+// whose direction byte is neither downlink nor uplink is damage, so the
+// strict parse must fail where the lenient one resynchronizes past it.
+func TestParseDiagStrictRejectsBadDirection(t *testing.T) {
+	var buf bytes.Buffer
+	dw := sib.NewDiagWriter(&buf)
+	dw.WriteMsg(0, sib.Downlink, &sib.CellInfo{Identity: config.CellIdentity{CellID: 9, PCI: 4, EARFCN: 850, RAT: config.RATLTE}})
+	dw.Flush()
+	first := buf.Len()
+	dw.WriteMsg(10, sib.Downlink, &sib.SIB4{ForbiddenCells: []uint32{1}})
+	dw.Flush()
+	data := buf.Bytes()
+	data[8] = 7 // direction byte of the CellInfo record
+
+	snaps, _, stats, err := ParseDiagOpts(bytes.NewReader(data), ParseOptions{Strict: true})
+	if !errors.Is(err, sib.ErrDiagCorrupt) || snaps != nil {
+		t.Fatalf("strict parse: %d snapshots, %+v, err %v", len(snaps), stats, err)
+	}
+	snaps, _, stats, err = ParseDiagOpts(bytes.NewReader(data), ParseOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 0 || stats.Records != 1 || stats.SkippedBytes != first || stats.Resyncs != 1 {
+		t.Fatalf("lenient parse: %d snapshots, %+v; want 0 snapshots, 1 record, %d bytes skipped in 1 resync",
+			len(snaps), stats, first)
+	}
+}
+
 func writeForbidden(t *testing.T, n int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -153,16 +183,12 @@ func TestParseDiagResyncsPastDamage(t *testing.T) {
 	var offs []int
 	{
 		off := 0
-		r := sib.NewDiagScanner(body)
-		for {
-			before := off
-			rec, ok := r.Next()
-			if !ok {
-				break
-			}
-			_ = rec
-			offs = append(offs, before)
+		if err := sib.ScanStrict(bytes.NewReader(body), func(rec sib.DiagRecord) error {
+			offs = append(offs, off)
 			off += 13 + len(rec.Raw)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if len(offs) != 10 {

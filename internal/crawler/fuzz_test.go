@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"mmlab/internal/config"
@@ -10,8 +11,10 @@ import (
 
 // FuzzParseDiag runs arbitrary bytes through both parse modes. The
 // lenient parser must never fail or panic, can never produce more
-// snapshots than CellInfo stamps, and must account every skipped byte;
-// the strict parser may error but must not panic.
+// snapshots than CellInfo stamps, and must account every skipped byte.
+// The strict parser must succeed exactly when the lenient one saw no
+// damage (no skipped byte, no undecodable record), and then return the
+// same snapshots and events.
 func FuzzParseDiag(f *testing.F) {
 	var buf bytes.Buffer
 	dw := sib.NewDiagWriter(&buf)
@@ -31,7 +34,7 @@ func FuzzParseDiag(f *testing.F) {
 	f.Add(clean[:len(clean)/2])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		snaps, _, stats, err := ParseDiagOpts(bytes.NewReader(data), ParseOptions{})
+		snaps, events, stats, err := ParseDiagOpts(bytes.NewReader(data), ParseOptions{})
 		if err != nil {
 			t.Fatalf("lenient parse errored: %v", err)
 		}
@@ -44,7 +47,13 @@ func FuzzParseDiag(f *testing.F) {
 		if stats.Records < 0 || stats.Bad < 0 {
 			t.Fatalf("negative stats: %+v", stats)
 		}
-		// Strict mode: errors allowed, panics not.
-		ParseDiagOpts(bytes.NewReader(data), ParseOptions{Strict: true})
+		ssnaps, sevents, _, serr := ParseDiagOpts(bytes.NewReader(data), ParseOptions{Strict: true})
+		clean := stats.SkippedBytes == 0 && stats.Bad == 0
+		if (serr == nil) != clean {
+			t.Fatalf("strict err %v, lenient stats %+v", serr, stats)
+		}
+		if serr == nil && (!reflect.DeepEqual(ssnaps, snaps) || !reflect.DeepEqual(sevents, events)) {
+			t.Fatal("strict and lenient parses of a clean stream differ")
+		}
 	})
 }

@@ -75,54 +75,42 @@ func ParseDiag(r io.Reader) ([]ConfigSnapshot, []HandoffEvent, error) {
 }
 
 // ParseDiagOpts is ParseDiag with explicit options and damage statistics.
+// The reader is scanned a bounded window at a time, so a multi-GB capture
+// (or a live network feed) never lands in memory whole. Records are
+// decoded immediately, so the scanner's zero-copy mode is safe here.
 func ParseDiagOpts(r io.Reader, opt ParseOptions) ([]ConfigSnapshot, []HandoffEvent, ParseStats, error) {
-	var p diagParser
-	if opt.Strict {
-		dr := sib.NewDiagReader(r)
-		err := dr.ForEach(func(rec sib.DiagRecord) error {
-			m, err := rec.Decode()
-			if err != nil {
-				return fmt.Errorf("crawler: record at t=%d: %w", rec.TimestampMs, err)
-			}
-			p.stats.Records++
-			p.handle(rec, m)
-			return nil
-		})
-		if err != nil {
-			return nil, nil, p.stats, err
-		}
-		p.flush()
-		return p.snaps, p.events, p.stats, nil
-	}
-
-	// Incremental path: scan the reader a bounded window at a time, so a
-	// multi-GB capture (or a live network feed) never lands in memory
-	// whole. Records are decoded immediately, so the scanner's zero-copy
-	// mode is safe here.
 	sp := NewStreamParser()
 	sc := sib.NewStreamScanner(r, sib.ScanOptions{})
+	stats := func() ParseStats {
+		st := sp.Stats()
+		st.SkippedBytes = sc.Stats().SkippedBytes
+		st.Resyncs = sc.Stats().Resyncs
+		return st
+	}
 	for {
 		rec, ok, err := sc.Next()
+		if opt.Strict && sc.Stats().SkippedBytes > 0 {
+			return nil, nil, stats(), fmt.Errorf("crawler: %w: %d unframed bytes after %d records",
+				sib.ErrDiagCorrupt, sc.Stats().SkippedBytes, sp.Stats().Records)
+		}
 		if !ok {
 			if err != nil {
-				st := sp.Stats()
-				st.SkippedBytes = sc.Stats().SkippedBytes
-				st.Resyncs = sc.Stats().Resyncs
-				return nil, nil, st, fmt.Errorf("crawler: reading diag stream: %w", err)
+				return nil, nil, stats(), fmt.Errorf("crawler: reading diag stream: %w", err)
 			}
 			break
 		}
 		sp.Feed(rec)
+		if opt.Strict && sp.Stats().Bad > 0 {
+			_, err := rec.Decode()
+			return nil, nil, stats(), fmt.Errorf("crawler: record at t=%d: %w", rec.TimestampMs, err)
+		}
 	}
 	sp.Close()
-	st := sp.Stats()
-	st.SkippedBytes = sc.Stats().SkippedBytes
-	st.Resyncs = sc.Stats().Resyncs
-	return sp.Snapshots(), sp.Events(), st, nil
+	return sp.Snapshots(), sp.Events(), stats(), nil
 }
 
-// StreamParser is the incremental form of ParseDiagOpts' non-strict
-// path: records are fed one at a time (typically straight off a
+// StreamParser is the incremental form of ParseDiagOpts' lenient path:
+// records are fed one at a time (typically straight off a
 // sib.StreamScanner), snapshots and handoff events become available as
 // they complete, and Close flushes the snapshot still open at end of
 // stream. The mmlabd ingest pipeline keeps one StreamParser per live
@@ -274,7 +262,7 @@ func (sp *StreamParser) TakeEvents() []HandoffEvent {
 }
 
 // diagParser accumulates parse state across records; the record framing
-// (strict reader or resynchronizing scanner) is the caller's concern.
+// is the caller's concern.
 type diagParser struct {
 	snaps   []ConfigSnapshot
 	events  []HandoffEvent

@@ -67,8 +67,7 @@ func Corrupt(data []byte, seed int64, o CorruptOpts) ([]byte, CorruptStats, erro
 	// Split the stream into per-record byte segments via the canonical
 	// framing (DiagWriter re-encodes a DiagRecord byte-exactly).
 	var recs [][]byte
-	dr := sib.NewDiagReader(bytes.NewReader(data))
-	err := dr.ForEach(func(rec sib.DiagRecord) error {
+	err := sib.ScanStrict(bytes.NewReader(data), func(rec sib.DiagRecord) error {
 		var seg bytes.Buffer
 		dw := sib.NewDiagWriter(&seg)
 		if err := dw.Write(rec); err != nil {

@@ -15,11 +15,11 @@ func randomSites(rng *rand.Rand, n int) []Point {
 	return sites
 }
 
-// TestGridIndexMatchesLinearScan is the differential property test: for
+// TestGridIndexMatchesWithinRadius is the differential property test: for
 // randomized site sets, bucket sizes, query positions (inside and well
 // outside the site bounding box) and radii, the grid must return exactly
 // the indices the linear WithinRadius scan returns, in ascending order.
-func TestGridIndexMatchesLinearScan(t *testing.T) {
+func TestGridIndexMatchesWithinRadius(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 7, 500} {
 		sites := randomSites(rng, n)

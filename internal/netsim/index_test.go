@@ -1,33 +1,42 @@
 package netsim
 
 import (
-	"bytes"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
-	"mmlab/internal/carrier"
-	"mmlab/internal/config"
-	"mmlab/internal/fault"
 	"mmlab/internal/geo"
-	"mmlab/internal/radio"
-	"mmlab/internal/sib"
-	"mmlab/internal/traffic"
 )
 
-// twinWorlds builds the same world twice, once indexed and once with the
-// legacy linear scan, for differential testing.
-func twinWorlds(t *testing.T, opts WorldOpts) (indexed, linear *World) {
-	t.Helper()
-	lin := opts
-	lin.LinearScan = true
-	return testWorld(t, "A", opts), testWorld(t, "A", lin)
+// bruteAudible is the reference audibility query: every cell within the
+// measurement radius, scored and ordered by the same rules as
+// Probe.AudibleScored (RSRP descending, ties by ascending CellID).
+func bruteAudible(w *World, pos geo.Point) []AudibleCell {
+	var out []AudibleCell
+	for _, c := range w.Cells {
+		if pos.Dist(c.Site.Pos) <= w.measureRadius {
+			out = append(out, AudibleCell{c, w.RSRPAt(c, pos)})
+		}
+	}
+	slices.SortFunc(out, func(a, b AudibleCell) int {
+		switch {
+		case a.RSRP > b.RSRP:
+			return -1
+		case a.RSRP < b.RSRP:
+			return 1
+		case a.Cell.Site.Identity.CellID < b.Cell.Site.Identity.CellID:
+			return -1
+		default:
+			return 1
+		}
+	})
+	return out
 }
 
 // TestAudibleGridMatchesLinear is the differential property test for the
 // spatial index: across world shapes and randomized positions (inside the
-// region, at its edges, and beyond it), the indexed Audible must return
-// the identical cell sequence as the linear scan.
+// region, at its edges, and beyond it), the indexed probe must return the
+// identical scored cell sequence as a brute-force scan of every cell.
 func TestAudibleGridMatchesLinear(t *testing.T) {
 	shapes := []WorldOpts{
 		{LTELayers: 3},
@@ -36,158 +45,24 @@ func TestAudibleGridMatchesLinear(t *testing.T) {
 		{LTELayers: 3, Seed: 9, MeasureRadius: 5600},
 	}
 	for _, shape := range shapes {
-		wi, wl := twinWorlds(t, shape)
-		if len(wi.Cells) != len(wl.Cells) {
-			t.Fatalf("twin worlds differ: %d vs %d cells", len(wi.Cells), len(wl.Cells))
-		}
+		w := testWorld(t, "A", shape)
 		rng := rand.New(rand.NewSource(17))
-		probe := wi.NewProbe()
+		probe := w.NewProbe()
 		for q := 0; q < 150; q++ {
 			pos := geo.Pt(-2000+rng.Float64()*10000, -2000+rng.Float64()*8000)
 			got := probe.AudibleScored(pos)
-			want := wl.Audible(pos)
+			want := bruteAudible(w, pos)
 			if len(got) != len(want) {
 				t.Fatalf("shape %+v pos %v: %d audible via index, %d via scan",
 					shape, pos, len(got), len(want))
 			}
 			for i := range want {
-				if got[i].Cell.Site.Identity != want[i].Site.Identity {
-					t.Fatalf("shape %+v pos %v: rank %d: index says %v, scan says %v",
-						shape, pos, i, got[i].Cell.Site.Identity, want[i].Site.Identity)
-				}
-				if got[i].RSRP != wl.RSRPAt(want[i], pos) {
-					t.Fatalf("shape %+v pos %v: rank %d: scored RSRP diverges", shape, pos, i)
-				}
-			}
-			// The dominant-interferer query must agree too.
-			if s := wi.StrongestLTE(pos); s != nil {
-				a := wi.StrongestCoChannel(pos, s)
-				b := wl.StrongestCoChannel(pos, wl.byID[s.Site.Identity.CellID])
-				switch {
-				case a == nil && b == nil:
-				case a == nil || b == nil ||
-					a.Site.Identity != b.Site.Identity:
-					t.Fatalf("shape %+v pos %v: co-channel mismatch: index %v, scan %v",
-						shape, pos, a, b)
+				if got[i] != want[i] {
+					t.Fatalf("shape %+v pos %v: rank %d: index says %v/%v, scan says %v/%v",
+						shape, pos, i, got[i].Cell.Site.Identity, got[i].RSRP,
+						want[i].Cell.Site.Identity, want[i].RSRP)
 				}
 			}
 		}
-	}
-}
-
-// TestStrongestCoChannelTieBreak pins the CellID tie-break: with two
-// co-channel cells at exactly equal RSRP (same shadow field, symmetric
-// positions), the lower CellID must win regardless of slice order and of
-// whether the world is indexed.
-func TestStrongestCoChannelTieBreak(t *testing.T) {
-	sh := radio.NewShadowField(1, 0, 60) // sigma 0: shadowing exactly zero
-	cfg := &config.CellConfig{TxPowerDBm: 46}
-	mk := func(id uint32, pos geo.Point) *Cell {
-		return &Cell{
-			Site:    carrierSite(id, pos),
-			Config:  cfg,
-			FreqMHz: 1960,
-			Shadow:  sh,
-			Load:    0.5,
-		}
-	}
-	serving := mk(1, geo.Pt(0, 900))
-	lo := mk(2, geo.Pt(-400, 0))
-	hi := mk(3, geo.Pt(400, 0)) // mirror image of lo about the query point
-	pos := geo.Pt(0, 0)
-	probe := &World{PathLoss: radio.DefaultCOST231(), measureRadius: 5000}
-	if rLo, rHi := probe.RSRPAt(lo, pos), probe.RSRPAt(hi, pos); rLo != rHi {
-		t.Fatalf("setup: tie not exact (%v vs %v)", rLo, rHi)
-	}
-	for name, cells := range map[string][]*Cell{
-		"ascending":  {serving, lo, hi},
-		"descending": {serving, hi, lo},
-	} {
-		w := &World{
-			Cells:         cells,
-			byID:          map[uint32]*Cell{1: serving, 2: lo, 3: hi},
-			PathLoss:      radio.DefaultCOST231(),
-			Link:          radio.DefaultLinkModel(),
-			measureRadius: 5000,
-		}
-		check := func(mode string) {
-			got := w.StrongestCoChannel(pos, serving)
-			if got == nil || got.Site.Identity.CellID != 2 {
-				t.Fatalf("%s/%s: tie resolved to %v, want CellID 2", name, mode, got)
-			}
-		}
-		check("linear")
-		sites := make([]geo.Point, len(cells))
-		for i, c := range cells {
-			sites[i] = c.Site.Pos
-		}
-		w.index = geo.NewGridIndex(sites, w.measureRadius/2)
-		check("indexed")
-	}
-}
-
-// carrierSite builds a minimal co-channel LTE site for synthetic worlds.
-func carrierSite(id uint32, pos geo.Point) carrier.CellSite {
-	return carrier.CellSite{
-		Carrier: "A",
-		City:    "C3",
-		Pos:     pos,
-		Identity: config.CellIdentity{
-			CellID: id, PCI: uint16(id), EARFCN: 700, RAT: config.RATLTE,
-		},
-	}
-}
-
-// TestSchedulerMatchesTickLoop pins the event scheduler to the fixed-step
-// loop: for every drive flavor — idle, active with traffic, fault-injected
-// with RLF recovery (exercising the quiet-span skip, with and without an
-// app) — the two drivers must produce byte-identical DriveResults and
-// identical diag captures.
-func TestSchedulerMatchesTickLoop(t *testing.T) {
-	scenarios := []struct {
-		name string
-		opts func() UEOpts
-	}{
-		{"idle", func() UEOpts { return UEOpts{Seed: 5} }},
-		{"active-speedtest", func() UEOpts {
-			return UEOpts{Seed: 5, Active: true, App: traffic.Speedtest{}}
-		}},
-		{"active-tcp-defaultfaults", func() UEOpts {
-			return UEOpts{Seed: 5, Active: true, App: traffic.NewTCPDownload(),
-				Injector: fault.New(7, fault.DefaultRates())}
-		}},
-		{"active-fade-rlf", func() UEOpts {
-			return UEOpts{Seed: 5, Active: true, App: traffic.Speedtest{},
-				Injector: fault.New(11, fault.Rates{Fade: 0.35})}
-		}},
-		{"active-fade-noapp", func() UEOpts {
-			return UEOpts{Seed: 5, Active: true,
-				Injector: fault.New(11, fault.Rates{Fade: 0.35})}
-		}},
-	}
-	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			w := testWorld(t, "A", WorldOpts{LTELayers: 3})
-			route := RowRoute(w, 45, 120)
-			run := func(tick bool) (*DriveResult, []byte) {
-				var diag bytes.Buffer
-				o := sc.opts()
-				o.TickLoop = tick
-				o.Diag = sib.NewDiagWriter(&diag)
-				res := RunDrive(w, route, route.Duration(), o)
-				return res, diag.Bytes()
-			}
-			evRes, evDiag := run(false)
-			tkRes, tkDiag := run(true)
-			if !reflect.DeepEqual(evRes, tkRes) {
-				t.Fatalf("scheduler and tick loop diverge:\nevents: %+v\nticks:  %+v", evRes, tkRes)
-			}
-			if !bytes.Equal(evDiag, tkDiag) {
-				t.Fatalf("diag captures differ: %d vs %d bytes", len(evDiag), len(tkDiag))
-			}
-			if sc.name == "active-fade-rlf" && evRes.Failures.Reestabs == 0 {
-				t.Fatal("fade scenario produced no re-establishments; quiet-span skip untested")
-			}
-		})
 	}
 }

@@ -3,7 +3,6 @@ package netsim
 import (
 	"bytes"
 	"context"
-	"io"
 	"testing"
 
 	"mmlab/internal/carrier"
@@ -83,33 +82,20 @@ func TestWorldDeterministic(t *testing.T) {
 func TestAudibleSortedAndBounded(t *testing.T) {
 	w := testWorld(t, "A", WorldOpts{})
 	pos := geo.Pt(3000, 2000)
-	cells := w.Audible(pos)
+	cells := w.NewProbe().AudibleScored(pos)
 	if len(cells) == 0 {
 		t.Fatal("nothing audible at region center")
 	}
-	prev := w.RSRPAt(cells[0], pos)
-	for _, c := range cells[1:] {
-		r := w.RSRPAt(c, pos)
-		if r > prev {
+	for i, c := range cells {
+		if c.RSRP != w.RSRPAt(c.Cell, pos) {
+			t.Fatal("scored RSRP differs from RSRPAt")
+		}
+		if i > 0 && c.RSRP > cells[i-1].RSRP {
 			t.Fatal("audible list not sorted by RSRP")
 		}
-		prev = r
 	}
-	if s := w.StrongestLTE(pos); s != cells[0] {
+	if s := w.StrongestLTE(pos); s != cells[0].Cell {
 		t.Error("StrongestLTE should be the first audible LTE cell")
-	}
-}
-
-func TestStrongestCoChannel(t *testing.T) {
-	w := testWorld(t, "A", WorldOpts{})
-	pos := geo.Pt(3000, 2000)
-	serving := w.StrongestLTE(pos)
-	intf := w.StrongestCoChannel(pos, serving)
-	if intf == nil {
-		t.Fatal("no co-channel interferer in a dense world")
-	}
-	if intf == serving || intf.Site.Identity.EARFCN != serving.Site.Identity.EARFCN {
-		t.Error("interferer must be a different cell on the same channel")
 	}
 }
 
@@ -214,20 +200,15 @@ func TestDiagStreamParses(t *testing.T) {
 	}
 
 	counts := map[sib.MsgType]int{}
-	r := sib.NewDiagReader(&buf)
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	if err := sib.ScanStrict(&buf, func(rec sib.DiagRecord) error {
 		m, err := rec.Decode()
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		counts[m.Type()]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if counts[sib.MsgSIB3] == 0 || counts[sib.MsgSIB1] == 0 || counts[sib.MsgCellIdentity] == 0 {
 		t.Errorf("broadcast messages missing: %v", counts)

@@ -92,12 +92,6 @@ type UEOpts struct {
 	// recover via connection re-establishment on the old cell. The paper's
 	// band-30 lockout case (§5.4.1) motivates the default of 1000 ms.
 	BandLockoutOutageMs core.Clock
-	// TickLoop runs the legacy fixed-step loop with the seed's original
-	// per-round work profile (allocating audibility scans, per-tick
-	// interference maps, recomputed RSRPs) instead of the event scheduler.
-	// Both drivers produce byte-identical results; the option exists for
-	// differential testing and as the seed-path benchmark baseline.
-	TickLoop bool
 }
 
 func (o *UEOpts) fill() {
@@ -238,7 +232,7 @@ type ue struct {
 	chPow map[chKey]float64
 	neigh []core.RawMeas
 
-	// Event scheduler state (unused with UEOpts.TickLoop).
+	// Event scheduler state.
 	q        core.EventQueue
 	resumeAt core.Clock // first measurement-grid tick >= reestab.completeAt
 
@@ -266,12 +260,9 @@ type reestabState struct {
 
 // RunDrive simulates one device moving through the world for durMs.
 //
-// The default driver is the event scheduler: measurement rounds, traffic
-// steps, and re-establishment resumes are events in a per-UE queue, so a
-// span with nothing due (an idle radio waiting out T301) costs O(events)
-// instead of O(ticks). UEOpts.TickLoop selects the legacy fixed-step loop;
-// both drivers share the same round body and produce byte-identical
-// results.
+// Measurement rounds, traffic steps, and re-establishment resumes are
+// events in a per-UE queue, so a span with nothing due (an idle radio
+// waiting out T301) costs O(events) instead of O(ticks).
 func RunDrive(w *World, move mobility.Model, durMs int64, opts UEOpts) *DriveResult {
 	opts.fill()
 	u := &ue{
@@ -295,14 +286,7 @@ func RunDrive(w *World, move mobility.Model, durMs int64, opts UEOpts) *DriveRes
 		return u.res
 	}
 	u.camp(0, start)
-
-	if opts.TickLoop {
-		for t := core.Clock(0); t <= durMs; t += opts.StepMs {
-			u.seedRound(t, move)
-		}
-	} else {
-		u.runEvents(durMs, move)
-	}
+	u.runEvents(durMs, move)
 	u.flushBin(durMs)
 	if u.reestab.active {
 		// The run ended mid-re-establishment: charge the outage so far.
@@ -467,75 +451,6 @@ func (u *ue) round(t core.Clock, move mobility.Model) {
 	}
 }
 
-// seedRound is the cost-faithful baseline round: it performs the seed
-// hot path's per-tick work — the allocating Audible call, fresh
-// interference maps, and a second RSRP evaluation per accounted and
-// measured cell — then runs the same control plane as round. Every
-// recomputed value is bit-identical to the scratch-reused one, so the two
-// bodies produce byte-identical results; this one just pays the original
-// price. It backs UEOpts.TickLoop (differential tests, BENCH_seed.json).
-func (u *ue) seedRound(t core.Clock, move mobility.Model) {
-	if u.waiting() {
-		u.appOutageStep(t)
-		if t >= u.reestab.completeAt {
-			u.finishReestab(t)
-		}
-		return
-	}
-	pos := move.At(t)
-	audible := u.w.Audible(pos)
-
-	chPow := map[chKey]float64{}
-	det := make(map[*Cell]units.Dbm, len(audible)+1)
-	account := func(c *Cell) {
-		if _, ok := det[c]; ok {
-			return
-		}
-		p := u.w.RSRPAt(c, pos)
-		det[c] = p
-		k := chKey{c.Site.Identity.EARFCN, c.Site.Identity.RAT}
-		chPow[k] += c.Load * radio.DBmToMw(p.V())
-	}
-	for _, c := range audible {
-		account(c)
-	}
-	account(u.serving)
-	intfFor := func(c *Cell) float64 {
-		k := chKey{c.Site.Identity.EARFCN, c.Site.Identity.RAT}
-		intf := chPow[k] - c.Load*radio.DBmToMw(det[c].V())
-		if intf < 0 {
-			intf = 0
-		}
-		return intf + ueNoiseMw
-	}
-
-	fadeDB := u.inj.FadeDB(int64(t))
-
-	servingIntf := fadedIntf(intfFor(u.serving), fadeDB)
-	servingMeas := u.measure(u.serving, u.w.RSRPAt(u.serving, pos), servingIntf, fadeDB)
-
-	var neighbors []core.RawMeas
-	for _, c := range audible {
-		if c == u.serving {
-			continue
-		}
-		if len(neighbors) >= u.opts.MaxNeighbors {
-			break
-		}
-		m := u.measure(c, u.w.RSRPAt(c, pos), fadedIntf(intfFor(c), fadeDB), fadeDB)
-		if m.RSRP <= radio.RSRPMin+1 {
-			continue // below the noise floor: undetectable
-		}
-		neighbors = append(neighbors, m)
-	}
-
-	if u.opts.Active {
-		u.stepActive(t, servingMeas, servingIntf, neighbors)
-	} else {
-		u.stepIdle(t, servingMeas, neighbors)
-	}
-}
-
 // appOutageStep advances the traffic app one step with zero link capacity
 // (radio detached during re-establishment).
 func (u *ue) appOutageStep(t core.Clock) {
@@ -553,9 +468,8 @@ func (u *ue) appOutageStep(t core.Clock) {
 // only advance on measurement rounds. Only occurrences that are *not*
 // measurement rounds need their own events.
 const (
-	// evAppStep advances the traffic app during a suspended span; it runs
-	// before evResume at the same instant, matching the fixed-step loop's
-	// statement order inside a tick.
+	// evAppStep advances the traffic app during a suspended span; at the
+	// same instant it runs before the completion check, as round does.
 	evAppStep core.EventKind = iota
 	// evResume fires at the re-establishment completion tick when no
 	// traffic app needs per-step service.
@@ -603,9 +517,8 @@ func (u *ue) scheduleNext(t core.Clock) {
 		u.q.Push(next, evMeasure)
 		return
 	}
-	// Completion is checked on the measurement grid (the tick loop only
-	// observes deadlines at step boundaries), so resume at the first grid
-	// tick at or past the deadline.
+	// Completion is only observed on the measurement grid, so resume at
+	// the first grid tick at or past the deadline.
 	step := u.opts.StepMs
 	u.resumeAt = core.Clock((int64(u.reestab.completeAt) + step - 1) / step * step)
 	if u.opts.App != nil {

@@ -7,7 +7,6 @@
 package netsim
 
 import (
-	"math"
 	"slices"
 	"sort"
 
@@ -39,9 +38,8 @@ type World struct {
 	Epoch    int
 
 	measureRadius float64
-	// index accelerates audibility queries; nil means linear scan (either
-	// WorldOpts.LinearScan or a hand-built World). Immutable after
-	// BuildWorld, so concurrent drive runs can share it.
+	// index answers audibility queries. Immutable after BuildWorld, so
+	// concurrent drive runs can share it.
 	index *geo.GridIndex
 }
 
@@ -65,10 +63,6 @@ type WorldOpts struct {
 	// MeasureRadius bounds which cells a UE can hear, in meters. Default
 	// 4×ISD.
 	MeasureRadius float64
-	// LinearScan skips the spatial index and keeps the O(cells) audibility
-	// scan. It exists for differential testing and as the seed-path
-	// benchmark baseline; both paths return byte-identical results.
-	LinearScan bool
 }
 
 func (o *WorldOpts) fill() {
@@ -169,15 +163,13 @@ func BuildWorld(gen *carrier.Generator, region geo.Rect, opts WorldOpts) *World 
 		}
 	}
 	w.measureRadius = opts.MeasureRadius
-	if !opts.LinearScan && len(w.Cells) > 0 {
-		pos := make([]geo.Point, len(w.Cells))
-		for i, c := range w.Cells {
-			pos[i] = c.Site.Pos
-		}
-		// Bucket side of half the query radius: a lookup touches at most a
-		// 5×5 bucket block and over-fetches roughly 2× the in-radius set.
-		w.index = geo.NewGridIndex(pos, opts.MeasureRadius/2)
+	pos := make([]geo.Point, len(w.Cells))
+	for i, c := range w.Cells {
+		pos[i] = c.Site.Pos
 	}
+	// Bucket side of half the query radius: a lookup touches at most a
+	// 5×5 bucket block and over-fetches roughly 2× the in-radius set.
+	w.index = geo.NewGridIndex(pos, opts.MeasureRadius/2)
 	return w
 }
 
@@ -231,18 +223,10 @@ func (w *World) NewProbe() *Probe { return &Probe{w: w} }
 func (p *Probe) AudibleScored(pos geo.Point) []AudibleCell {
 	w := p.w
 	p.scored = p.scored[:0]
-	if w.index != nil {
-		p.idx = w.index.WithinRadius(pos, w.measureRadius, p.idx)
-		for _, i := range p.idx {
-			c := w.Cells[i]
-			p.scored = append(p.scored, AudibleCell{c, w.RSRPAt(c, pos)})
-		}
-	} else {
-		for _, c := range w.Cells {
-			if pos.Dist(c.Site.Pos) <= w.measureRadius {
-				p.scored = append(p.scored, AudibleCell{c, w.RSRPAt(c, pos)})
-			}
-		}
+	p.idx = w.index.WithinRadius(pos, w.measureRadius, p.idx)
+	for _, i := range p.idx {
+		c := w.Cells[i]
+		p.scored = append(p.scored, AudibleCell{c, w.RSRPAt(c, pos)})
 	}
 	// The comparator is a strict total order (CellID is unique), so the
 	// sorted sequence is unique and independent of the sort algorithm.
@@ -261,58 +245,12 @@ func (p *Probe) AudibleScored(pos geo.Point) []AudibleCell {
 	return p.scored
 }
 
-// Audible returns the cells within measurement radius of pos, strongest
-// first by deterministic RSRP. It is the allocating convenience wrapper
-// around Probe.AudibleScored; hot paths should hold a Probe instead.
-func (w *World) Audible(pos geo.Point) []*Cell {
-	scored := w.NewProbe().AudibleScored(pos)
-	cells := make([]*Cell, len(scored))
-	for i, s := range scored {
-		cells[i] = s.Cell
-	}
-	return cells
-}
-
 // StrongestLTE returns the best audible LTE cell at pos, or nil.
 func (w *World) StrongestLTE(pos geo.Point) *Cell {
-	for _, c := range w.Audible(pos) {
-		if c.Site.Identity.RAT == config.RATLTE {
-			return c
+	for _, a := range w.NewProbe().AudibleScored(pos) {
+		if a.Cell.Site.Identity.RAT == config.RATLTE {
+			return a.Cell
 		}
 	}
 	return nil
-}
-
-// StrongestCoChannel returns the strongest audible cell sharing the
-// serving cell's channel (the dominant interferer), or nil. RSRP ties
-// resolve to the lower CellID — the same tie-break Audible uses — so the
-// result is independent of cell iteration order.
-func (w *World) StrongestCoChannel(pos geo.Point, serving *Cell) *Cell {
-	var best *Cell
-	bestRSRP := units.Dbm(math.Inf(-1))
-	consider := func(c *Cell) {
-		if c == serving ||
-			c.Site.Identity.EARFCN != serving.Site.Identity.EARFCN ||
-			c.Site.Identity.RAT != serving.Site.Identity.RAT {
-			return
-		}
-		if pos.Dist(c.Site.Pos) > w.measureRadius {
-			return
-		}
-		r := w.RSRPAt(c, pos)
-		if r > bestRSRP ||
-			(r == bestRSRP && best != nil && c.Site.Identity.CellID < best.Site.Identity.CellID) {
-			best, bestRSRP = c, r
-		}
-	}
-	if w.index != nil {
-		for _, i := range w.index.WithinRadius(pos, w.measureRadius, nil) {
-			consider(w.Cells[i])
-		}
-	} else {
-		for _, c := range w.Cells {
-			consider(c)
-		}
-	}
-	return best
 }

@@ -13,6 +13,7 @@ package feeder
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -526,15 +527,14 @@ func damageRecord(seg []byte, seed int64) ([]byte, error) {
 	}
 	for i := 0; ; i++ {
 		blob := append(append([]byte(nil), damaged...), seg...)
-		sc := sib.NewDiagScanner(blob)
-		n := 0
+		sc := sib.NewStreamScanner(bytes.NewReader(blob), sib.ScanOptions{})
 		for {
-			if _, ok := sc.Next(); !ok {
+			// A bytes.Reader has no read error to report.
+			if _, ok, _ := sc.Next(); !ok {
 				break
 			}
-			n++
 		}
-		if n == 1 {
+		if sc.Stats().Records == 1 {
 			return damaged, nil
 		}
 		if i >= 8 {

@@ -31,13 +31,11 @@ type sink struct {
 // recordCount scans the bytes received so far and counts the complete
 // records — the resume position a real daemon would ack.
 func (s *sink) recordCount() uint64 {
-	sc := sib.NewDiagScanner(s.payload.Bytes())
-	var n uint64
+	sc := sib.NewStreamScanner(bytes.NewReader(s.payload.Bytes()), sib.ScanOptions{})
 	for {
-		if _, ok := sc.Next(); !ok {
-			return n
+		if _, ok, _ := sc.Next(); !ok {
+			return uint64(sc.Stats().Records)
 		}
-		n++
 	}
 }
 
@@ -89,7 +87,7 @@ func TestFeederLosslessUnderFaults(t *testing.T) {
 	data := buf.Bytes()
 
 	var want []sib.DiagRecord
-	if err := sib.NewDiagReader(bytes.NewReader(data)).ForEach(func(rec sib.DiagRecord) error {
+	if err := sib.ScanStrict(bytes.NewReader(data), func(rec sib.DiagRecord) error {
 		rec.Raw = append([]byte(nil), rec.Raw...)
 		want = append(want, rec)
 		return nil
@@ -126,10 +124,10 @@ func TestFeederLosslessUnderFaults(t *testing.T) {
 	// The delivered byte stream is damaged on purpose; the
 	// resynchronizing scanner must recover exactly the original record
 	// sequence, once each, in order.
-	sc := sib.NewDiagScannerOpts(s.payload.Bytes(), sib.ScanOptions{Copy: true})
+	sc := sib.NewStreamScanner(bytes.NewReader(s.payload.Bytes()), sib.ScanOptions{Copy: true})
 	var got []sib.DiagRecord
 	for {
-		rec, ok := sc.Next()
+		rec, ok, _ := sc.Next()
 		if !ok {
 			break
 		}

@@ -20,7 +20,7 @@ import (
 func countRecords(t *testing.T, data []byte) int {
 	t.Helper()
 	n := 0
-	if err := sib.NewDiagReader(bytes.NewReader(data)).ForEach(func(sib.DiagRecord) error {
+	if err := sib.ScanStrict(bytes.NewReader(data), func(sib.DiagRecord) error {
 		n++
 		return nil
 	}); err != nil {

@@ -144,10 +144,9 @@ func Evaluate(r io.Reader) (Score, error) {
 		p     = New()
 		s     Score
 		last  *Prediction
-		dr    = sib.NewDiagReader(r)
 		preds []Prediction
 	)
-	err := dr.ForEach(func(rec sib.DiagRecord) error {
+	err := sib.ScanStrict(r, func(rec sib.DiagRecord) error {
 		m, err := rec.Decode()
 		if err != nil {
 			return err

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 )
 
@@ -92,59 +91,10 @@ func (dw *DiagWriter) Flush() error {
 	return dw.err
 }
 
-// Diag stream errors.
+// ErrDiagCorrupt marks a diag stream that should be pristine but is not
+// (see ScanStrict).
 var ErrDiagCorrupt = errors.New("sib: corrupt diag stream")
 
 // maxDiagMsgLen bounds a single message so a corrupt length field cannot
 // trigger a huge allocation.
 const maxDiagMsgLen = 1 << 20
-
-// DiagReader streams records from an io.Reader.
-type DiagReader struct {
-	r *bufio.Reader
-}
-
-// NewDiagReader wraps r.
-func NewDiagReader(r io.Reader) *DiagReader {
-	return &DiagReader{r: bufio.NewReader(r)}
-}
-
-// Next returns the next record, or io.EOF at clean end of stream.
-func (dr *DiagReader) Next() (DiagRecord, error) {
-	var hdr [13]byte
-	if _, err := io.ReadFull(dr.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return DiagRecord{}, io.EOF
-		}
-		return DiagRecord{}, fmt.Errorf("%w: truncated header: %v", ErrDiagCorrupt, err)
-	}
-	n := binary.LittleEndian.Uint32(hdr[9:])
-	if n > maxDiagMsgLen {
-		return DiagRecord{}, fmt.Errorf("%w: message length %d", ErrDiagCorrupt, n)
-	}
-	raw := make([]byte, n)
-	if _, err := io.ReadFull(dr.r, raw); err != nil {
-		return DiagRecord{}, fmt.Errorf("%w: truncated message: %v", ErrDiagCorrupt, err)
-	}
-	return DiagRecord{
-		TimestampMs: binary.LittleEndian.Uint64(hdr[0:]),
-		Dir:         Direction(hdr[8]),
-		Raw:         raw,
-	}, nil
-}
-
-// ForEach iterates every record until EOF, stopping on the first error.
-func (dr *DiagReader) ForEach(fn func(DiagRecord) error) error {
-	for {
-		rec, err := dr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-}

@@ -32,18 +32,18 @@ func TestDiagRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := NewDiagReader(&buf)
-	for i := 0; ; i++ {
-		rec, err := r.Next()
-		if err == io.EOF {
-			if i != len(msgs) {
-				t.Fatalf("got %d records, want %d", i, len(msgs))
-			}
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	var recs []DiagRecord
+	if err := ScanStrict(&buf, func(rec DiagRecord) error {
+		rec.Raw = append([]byte(nil), rec.Raw...)
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(msgs) {
+		t.Fatalf("got %d records, want %d", len(recs), len(msgs))
+	}
+	for i, rec := range recs {
 		if rec.TimestampMs != msgs[i].ts || rec.Dir != msgs[i].dir {
 			t.Errorf("record %d: ts=%d dir=%v", i, rec.TimestampMs, rec.Dir)
 		}
@@ -67,7 +67,7 @@ func TestDiagForEach(t *testing.T) {
 	}
 	w.Flush()
 	n := 0
-	err := NewDiagReader(&buf).ForEach(func(rec DiagRecord) error {
+	err := ScanStrict(&buf, func(rec DiagRecord) error {
 		n++
 		return nil
 	})
@@ -82,7 +82,7 @@ func TestDiagForEachPropagatesCallbackError(t *testing.T) {
 	w.WriteMsg(1, Downlink, &SIB4{})
 	w.Flush()
 	sentinel := errors.New("stop")
-	err := NewDiagReader(&buf).ForEach(func(DiagRecord) error { return sentinel })
+	err := ScanStrict(&buf, func(DiagRecord) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Errorf("err = %v", err)
 	}
@@ -95,34 +95,49 @@ func TestDiagTruncatedStream(t *testing.T) {
 	w.Flush()
 	data := buf.Bytes()
 
+	strict := func(data []byte) (int, error) {
+		n := 0
+		err := ScanStrict(bytes.NewReader(data), func(DiagRecord) error {
+			n++
+			return nil
+		})
+		return n, err
+	}
+
 	// Truncated inside the message body.
-	r := NewDiagReader(bytes.NewReader(data[:len(data)-3]))
-	if _, err := r.Next(); !errors.Is(err, ErrDiagCorrupt) {
-		t.Errorf("truncated body: %v", err)
+	if n, err := strict(data[:len(data)-3]); n != 0 || !errors.Is(err, ErrDiagCorrupt) {
+		t.Errorf("truncated body: %d records, %v", n, err)
 	}
 
 	// Truncated inside the header.
-	r = NewDiagReader(bytes.NewReader(data[:5]))
-	if _, err := r.Next(); !errors.Is(err, ErrDiagCorrupt) {
-		t.Errorf("truncated header: %v", err)
+	if n, err := strict(data[:5]); n != 0 || !errors.Is(err, ErrDiagCorrupt) {
+		t.Errorf("truncated header: %d records, %v", n, err)
 	}
 
 	// Clean EOF on empty stream.
-	r = NewDiagReader(bytes.NewReader(nil))
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("empty stream: %v", err)
+	if n, err := strict(nil); n != 0 || err != nil {
+		t.Errorf("empty stream: %d records, %v", n, err)
 	}
 }
 
 func TestDiagOversizeLengthRejected(t *testing.T) {
-	// Hand-craft a header claiming a 2 MB message.
+	// Hand-craft a header claiming a 2 MB message, then a valid record:
+	// the strict scan fails before the record reaches the callback.
 	hdr := make([]byte, 13)
 	hdr[9] = 0
 	hdr[10] = 0
 	hdr[11] = 0x20 // 0x200000 = 2 MiB
-	r := NewDiagReader(bytes.NewReader(hdr))
-	if _, err := r.Next(); !errors.Is(err, ErrDiagCorrupt) {
-		t.Errorf("oversize: %v", err)
+	var buf bytes.Buffer
+	w := NewDiagWriter(&buf)
+	w.WriteMsg(1, Downlink, &SIB4{})
+	w.Flush()
+	calls := 0
+	err := ScanStrict(io.MultiReader(bytes.NewReader(hdr), &buf), func(DiagRecord) error {
+		calls++
+		return nil
+	})
+	if calls != 0 || !errors.Is(err, ErrDiagCorrupt) {
+		t.Errorf("oversize: %d records, %v", calls, err)
 	}
 }
 

@@ -43,9 +43,11 @@ func FuzzOpen(f *testing.F) {
 	})
 }
 
-// FuzzScanner feeds arbitrary bytes to the resynchronizing scanner: it
-// must terminate, never panic, account every byte as either a yielded
-// record or a skipped byte, and decode whatever it yields.
+// FuzzScanner feeds arbitrary bytes to the resynchronizing scanner in
+// read chunks whose sizes the input also chooses. It must terminate,
+// never panic, account every byte as either a yielded record or a
+// skipped byte, and yield exactly the records and ScanStats of a scan
+// over the same bytes in one piece.
 func FuzzScanner(f *testing.F) {
 	var buf bytes.Buffer
 	dw := NewDiagWriter(&buf)
@@ -53,17 +55,13 @@ func FuzzScanner(f *testing.F) {
 	dw.WriteMsg(20, Uplink, &SIB4{ForbiddenCells: []uint32{2}})
 	dw.Flush()
 	clean := buf.Bytes()
-	f.Add(clean)
-	f.Add(append([]byte{0xFF, 0xC3, 0x11}, clean...))
-	f.Add(clean[:len(clean)-3])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s := NewDiagScanner(data)
+	f.Add(clean, []byte{})
+	f.Add(append([]byte{0xFF, 0xC3, 0x11}, clean...), []byte{0, 12, 3})
+	f.Add(clean[:len(clean)-3], []byte{20, 0})
+	f.Fuzz(func(t *testing.T, data, chunks []byte) {
+		want, wantStats := scanAll(t, data)
 		consumed := 0
-		for {
-			rec, ok := s.Next()
-			if !ok {
-				break
-			}
+		for _, rec := range want {
 			consumed += 13 + len(rec.Raw)
 			if _, err := rec.Decode(); err != nil {
 				// The envelope opened, so only TLV-level damage remains —
@@ -72,10 +70,24 @@ func FuzzScanner(f *testing.F) {
 				t.Logf("yielded record failed decode: %v", err)
 			}
 		}
-		st := s.Stats()
-		if consumed+st.SkippedBytes != len(data) {
+		if consumed+wantStats.SkippedBytes != len(data) {
 			t.Fatalf("accounting: %d consumed + %d skipped != %d input",
-				consumed, st.SkippedBytes, len(data))
+				consumed, wantStats.SkippedBytes, len(data))
+		}
+
+		s := NewStreamScanner(&chunkReader{data: data, sizes: chunks}, ScanOptions{Copy: true})
+		got := collectStream(t, s)
+		if len(got) != len(want) {
+			t.Fatalf("chunked scan: %d records, whole scan %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i].TimestampMs != want[i].TimestampMs || got[i].Dir != want[i].Dir ||
+				!bytes.Equal(got[i].Raw, want[i].Raw) {
+				t.Fatalf("chunked scan: record %d differs", i)
+			}
+		}
+		if s.Stats() != wantStats {
+			t.Fatalf("chunked scan stats %+v, whole scan %+v", s.Stats(), wantStats)
 		}
 	})
 }

@@ -128,27 +128,36 @@ func TestUnmarshalNeverPanicsOnMutation(t *testing.T) {
 	}
 }
 
-func TestDiagReaderNeverPanicsOnTruncation(t *testing.T) {
+// TestScanStrictTruncation cuts a two-record capture at every byte: the
+// strict scan must accept exactly the cuts on record boundaries and
+// deliver every record before the cut.
+func TestScanStrictTruncation(t *testing.T) {
 	var b bytes.Buffer
 	dw := NewDiagWriter(&b)
 	dw.WriteMsg(1, Downlink, &SIB3{Serving: sampleServing()})
 	dw.WriteMsg(2, Uplink, &MeasurementReport{MeasID: 1})
 	dw.Flush()
 	buf := b.Bytes()
+	first := 13 + len(Marshal(&SIB3{Serving: sampleServing()}))
 	for cut := 0; cut <= len(buf); cut++ {
-		r := NewDiagReader(bytes.NewReader(buf[:cut]))
-		func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					t.Fatalf("panic at truncation %d: %v", cut, rec)
-				}
-			}()
-			for {
-				_, err := r.Next()
-				if err != nil {
-					return
-				}
-			}
-		}()
+		n := 0
+		err := ScanStrict(bytes.NewReader(buf[:cut]), func(DiagRecord) error {
+			n++
+			return nil
+		})
+		boundary := cut == 0 || cut == first || cut == len(buf)
+		if boundary != (err == nil) {
+			t.Fatalf("cut %d: err = %v", cut, err)
+		}
+		want := 0
+		if cut >= first {
+			want++
+		}
+		if cut == len(buf) {
+			want++
+		}
+		if n != want {
+			t.Fatalf("cut %d: %d records before the cut, want %d", cut, n, want)
+		}
 	}
 }

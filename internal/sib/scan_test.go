@@ -18,21 +18,17 @@ func scanStream(t *testing.T, n int) []byte {
 	return buf.Bytes()
 }
 
-func collect(s *DiagScanner) []DiagRecord {
-	var out []DiagRecord
-	for {
-		rec, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, rec)
-	}
+// scanAll scans data in one piece, returning the (detached) records and
+// the final statistics.
+func scanAll(t *testing.T, data []byte) ([]DiagRecord, ScanStats) {
+	t.Helper()
+	s := NewStreamScanner(bytes.NewReader(data), ScanOptions{Copy: true})
+	return collectStream(t, s), s.Stats()
 }
 
 func TestScannerCleanStream(t *testing.T) {
 	data := scanStream(t, 12)
-	s := NewDiagScanner(data)
-	recs := collect(s)
+	recs, st := scanAll(t, data)
 	if len(recs) != 12 {
 		t.Fatalf("records = %d, want 12", len(recs))
 	}
@@ -44,7 +40,7 @@ func TestScannerCleanStream(t *testing.T) {
 			t.Fatalf("record %d: %v", i, err)
 		}
 	}
-	if st := s.Stats(); st != (ScanStats{Records: 12}) {
+	if st != (ScanStats{Records: 12}) {
 		t.Fatalf("clean stats: %+v", st)
 	}
 }
@@ -59,12 +55,10 @@ func TestScannerResyncsAroundGarbage(t *testing.T) {
 	stream = append(stream, one...)
 	stream = append(stream, junk...)
 
-	s := NewDiagScanner(stream)
-	recs := collect(s)
+	recs, st := scanAll(t, stream)
 	if len(recs) != 2 {
 		t.Fatalf("records = %d, want 2", len(recs))
 	}
-	st := s.Stats()
 	if st.Resyncs != 3 {
 		t.Errorf("resyncs = %d, want 3", st.Resyncs)
 	}
@@ -75,11 +69,10 @@ func TestScannerResyncsAroundGarbage(t *testing.T) {
 
 func TestScannerPureGarbage(t *testing.T) {
 	junk := bytes.Repeat([]byte{0xAB, 0x13, 0xC3}, 40)
-	s := NewDiagScanner(junk)
-	if recs := collect(s); len(recs) != 0 {
+	recs, st := scanAll(t, junk)
+	if len(recs) != 0 {
 		t.Fatalf("records from garbage: %d", len(recs))
 	}
-	st := s.Stats()
 	if st.SkippedBytes != len(junk) || st.Resyncs != 1 {
 		t.Errorf("stats: %+v", st)
 	}
@@ -88,21 +81,21 @@ func TestScannerPureGarbage(t *testing.T) {
 func TestScannerTruncatedTail(t *testing.T) {
 	data := scanStream(t, 3)
 	cut := data[:len(data)-5] // last record loses its trailer
-	s := NewDiagScanner(cut)
-	if recs := collect(s); len(recs) != 2 {
+	recs, st := scanAll(t, cut)
+	if len(recs) != 2 {
 		t.Fatalf("records = %d, want 2", len(recs))
 	}
-	if st := s.Stats(); st.SkippedBytes == 0 {
+	if st.SkippedBytes == 0 {
 		t.Errorf("truncated tail not counted as skipped: %+v", st)
 	}
 }
 
 func TestScannerEmpty(t *testing.T) {
-	s := NewDiagScanner(nil)
-	if recs := collect(s); len(recs) != 0 {
+	recs, st := scanAll(t, nil)
+	if len(recs) != 0 {
 		t.Fatal("records from empty input")
 	}
-	if s.Stats() != (ScanStats{}) {
-		t.Fatalf("stats: %+v", s.Stats())
+	if st != (ScanStats{}) {
+		t.Fatalf("stats: %+v", st)
 	}
 }

@@ -2,32 +2,43 @@ package sib
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"testing"
 )
 
-// chunkReader yields the stream in pseudo-random chunk sizes so every
-// record boundary eventually lands mid-chunk.
+// chunkReader delivers data in chunks of 1+sizes[i] bytes, cycling
+// through sizes (one byte at a time when sizes is empty), so record
+// boundaries land mid-chunk.
 type chunkReader struct {
-	data []byte
-	rng  *rand.Rand
+	data  []byte
+	sizes []byte
+	i     int
 }
 
 func (c *chunkReader) Read(p []byte) (int, error) {
 	if len(c.data) == 0 {
 		return 0, io.EOF
 	}
-	n := 1 + c.rng.Intn(97)
-	if n > len(c.data) {
-		n = len(c.data)
+	n := 1
+	if len(c.sizes) > 0 {
+		n += int(c.sizes[c.i%len(c.sizes)])
+		c.i++
 	}
-	if n > len(p) {
-		n = len(p)
-	}
+	n = min(n, len(c.data), len(p))
 	copy(p, c.data[:n])
 	c.data = c.data[n:]
 	return n, nil
+}
+
+// randomChunks draws chunk sizes of 1 to 97 bytes for a chunkReader.
+func randomChunks(rng *rand.Rand) []byte {
+	sizes := make([]byte, 61)
+	for i := range sizes {
+		sizes[i] = byte(rng.Intn(97))
+	}
+	return sizes
 }
 
 func collectStream(t *testing.T, s *StreamScanner) []DiagRecord {
@@ -71,18 +82,17 @@ func damage(t *testing.T, rng *rand.Rand, n int) []byte {
 	return stream
 }
 
-// TestStreamScannerMatchesDiagScanner is the equivalence property: over
-// damaged streams delivered in arbitrary chunks, the incremental scanner
-// yields exactly the records and stats of a batch scan.
-func TestStreamScannerMatchesDiagScanner(t *testing.T) {
+// TestStreamScannerChunkingInvariant is the equivalence property: over
+// damaged streams delivered in arbitrary chunks, the scanner yields
+// exactly the records and stats of a scan over the stream in one piece.
+func TestStreamScannerChunkingInvariant(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		stream := damage(t, rng, 30)
 
-		batch := NewDiagScanner(stream)
-		want := collect(batch)
+		want, wantStats := scanAll(t, stream)
 
-		ss := NewStreamScanner(&chunkReader{data: stream, rng: rng}, ScanOptions{Copy: true})
+		ss := NewStreamScanner(&chunkReader{data: stream, sizes: randomChunks(rng)}, ScanOptions{Copy: true})
 		got := collectStream(t, ss)
 
 		if len(got) != len(want) {
@@ -94,8 +104,8 @@ func TestStreamScannerMatchesDiagScanner(t *testing.T) {
 				t.Fatalf("seed %d: record %d differs", seed, i)
 			}
 		}
-		if ss.Stats() != batch.Stats() {
-			t.Fatalf("seed %d: stats %+v, want %+v", seed, ss.Stats(), batch.Stats())
+		if ss.Stats() != wantStats {
+			t.Fatalf("seed %d: stats %+v, want %+v", seed, ss.Stats(), wantStats)
 		}
 	}
 }
@@ -126,47 +136,36 @@ type iotestErr struct{}
 
 func (iotestErr) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }
 
-// TestDiagScannerCopyDetachesRecords is the aliasing regression test: a
-// caller that reuses the scanned buffer corrupts retained records unless
-// Copy is on.
+// TestDiagScannerCopyDetachesRecords is the aliasing regression test for
+// scanned diag records: the scanner's internal buffer is reused across
+// reads, so without Copy a retained record is overwritten by later reads;
+// with Copy the same scan leaves it intact.
 func TestDiagScannerCopyDetachesRecords(t *testing.T) {
-	data := scanStream(t, 5)
-
-	// Without Copy, records alias the buffer: zeroing it afterwards
-	// destroys them (this is the documented hazard).
-	buf := append([]byte(nil), data...)
-	aliased := collect(NewDiagScanner(buf))
-	for i := range buf {
-		buf[i] = 0
+	data := scanStream(t, 64)
+	scan := func(opt ScanOptions) []DiagRecord {
+		rng := rand.New(rand.NewSource(1))
+		return collectStream(t, NewStreamScanner(&chunkReader{data: data, sizes: randomChunks(rng)}, opt))
 	}
-	if _, err := aliased[0].Decode(); err == nil {
+
+	first := data[13 : 13+binary.LittleEndian.Uint32(data[9:])]
+
+	// Without Copy, later reads overwrite retained records (this is the
+	// documented hazard).
+	if bytes.Equal(scan(ScanOptions{})[0].Raw, first) {
 		t.Fatal("aliased record survived buffer reuse; hazard test is vacuous")
 	}
 
-	// With Copy, the same reuse leaves every record intact.
-	buf = append(buf[:0], data...)
-	copied := collect(NewDiagScannerOpts(buf, ScanOptions{Copy: true}))
-	for i := range buf {
-		buf[i] = 0
-	}
-	if len(copied) != 5 {
-		t.Fatalf("records = %d, want 5", len(copied))
-	}
-	for i, r := range copied {
-		if _, err := r.Decode(); err != nil {
-			t.Fatalf("copied record %d corrupted by buffer reuse: %v", i, err)
-		}
+	if got := scan(ScanOptions{Copy: true}); !bytes.Equal(got[0].Raw, first) {
+		t.Fatal("retained record 0 overwritten by later reads")
 	}
 }
 
-// TestStreamScannerCopyDetachesRecords: the stream scanner's internal
-// buffer is reused across reads, so without Copy a record is only valid
-// until the next Next call; with Copy retained records stay intact.
+// TestStreamScannerCopyDetachesRecords: with Copy, every record retained
+// from a chunked scan still decodes after the scan completes.
 func TestStreamScannerCopyDetachesRecords(t *testing.T) {
 	data := scanStream(t, 64)
 	rng := rand.New(rand.NewSource(1))
-	ss := NewStreamScanner(&chunkReader{data: data, rng: rng}, ScanOptions{Copy: true})
-	recs := collectStream(t, ss)
+	recs := collectStream(t, NewStreamScanner(&chunkReader{data: data, sizes: randomChunks(rng)}, ScanOptions{Copy: true}))
 	if len(recs) != 64 {
 		t.Fatalf("records = %d, want 64", len(recs))
 	}

@@ -7,8 +7,8 @@
 #   ./verify.sh bench LABEL [bench flags...]
 #                          run the country-scale benches and write
 #                          BENCH_LABEL.json via cmd/bench2json, e.g.:
-#                            ./verify.sh bench seed -country.seedpath
 #                            ./verify.sh bench pr6
+#                            ./verify.sh bench wide -country.radius 2800
 #                          BENCHTIME (default 3x) sets -benchtime.
 set -e
 
